@@ -74,10 +74,10 @@ let engine_arg =
     & opt (some string) None
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "simulator execution engine: reference, decoded or threaded \
-           (default threaded). All three are bit-identical; the slower \
-           engines exist as differential oracles and for speedup \
-           measurement.")
+          "simulator execution engine: reference or threaded (default \
+           threaded). Both are bit-identical; the slower reference \
+           engine exists as the differential oracle and the speedup \
+           baseline.")
 
 (* checked against Decode.all_engines the same way --disable-pass is
    checked against the pass registry: an unknown name fails with the
@@ -146,7 +146,7 @@ let par_threshold_arg =
     & opt (some int) None
     & info [ "par-threshold" ] ~docv:"OPS"
         ~doc:
-          "minimum estimated launch size (decoded ops × threads × blocks) \
+          "minimum estimated launch size (instructions × threads × blocks) \
            before thread-blocks are fanned across the domain pool; smaller \
            launches run on the sequential walker (also: \
            $(b,SAFARA_PAR_THRESHOLD))")

@@ -224,10 +224,11 @@ let dead_stores ?(map = Srcmap.empty) (k : Safara_vir.Kernel.t) =
 (* --- SAF036: static register-pressure report ----------------------- *)
 
 (* the liveness solver's peak demand next to what linear scan actually
-   claimed; when nothing spilled, precise max-live is a lower bound on
-   the allocation (intervals over-approximate live sets, and pair
-   alignment can pad), so a static number above the allocator's is a
-   compiler bug and reported as an error *)
+   claimed over intervals built from that same solver; when nothing
+   spilled, precise max-live is a lower bound on the allocation
+   (intervals over-approximate live sets, and pair alignment can pad),
+   so a static number above the allocator's is a compiler bug and
+   reported as an error *)
 let static_pressure ?(map = Srcmap.empty) ~(arch : Safara_gpu.Arch.t)
     ((k : Safara_vir.Kernel.t), (report : Safara_ptxas.Assemble.report)) =
   let units = Safara_vir.Dataflow.Live.max_units k.Safara_vir.Kernel.code in

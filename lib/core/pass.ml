@@ -86,7 +86,7 @@ let measure : type a. precise:bool -> a stage -> a -> stats =
          estimate; only worth its cost under --time-passes *)
       let regs_of k =
         if precise then
-          Safara_ptxas.Pressure.max_pressure (Safara_ptxas.Cfg.build k.K.code)
+          Safara_ptxas.Pressure.max_pressure (Safara_vir.Cfg.build k.K.code)
         else 0
       in
       kernel_stats ~regs_of v.v_kernels

@@ -27,7 +27,9 @@
       any read of the array
     - [SAF036] static register-pressure report ([--pressure]; note,
       escalated to error when the spill-free allocation is below the
-      liveness solver's peak demand) *)
+      liveness solver's peak demand)
+    - [SAF037] register cap the assembler cannot meet (below the
+      kernel's operand floor, or spilling does not converge) *)
 
 type severity = Error | Warning | Note
 

@@ -20,6 +20,10 @@ val assemble :
     [arch.max_registers_per_thread]); if demand exceeds the cap,
     insert spill code and re-allocate to fixpoint. The returned kernel
     contains the final (possibly spill-augmented) code.
-    @raise Failure if spilling fails to converge (pathological input). *)
+    @raise Failure carrying a rendered [SAF037] diagnostic when the
+    cap is below the kernel's operand floor — the most 32-bit units
+    one instruction's distinct operands and results occupy at once,
+    which spill code cannot lower — or when spilling does not
+    converge within 16 rounds. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,4 +1,5 @@
 module V = Safara_vir.Vreg
+module Cfg = Safara_vir.Cfg
 
 type result = {
   assignment : (V.t * int) list;

@@ -17,9 +17,9 @@ type result = {
   pred_used : int;
 }
 
-val allocate : max_regs:int -> Cfg.t -> result
-(** Allocate over the CFG's live intervals. *)
+val allocate : max_regs:int -> Safara_vir.Cfg.t -> result
+(** Allocate over the CFG's live intervals ({!Liveness.intervals}). *)
 
-val verify : Cfg.t -> result -> (unit, string) Result.t
+val verify : Safara_vir.Cfg.t -> result -> (unit, string) Result.t
 (** Check that no two simultaneously-live registers share a 32-bit
     unit and that 64-bit values are even-aligned — used by tests. *)

@@ -1,50 +1,11 @@
 module V = Safara_vir.Vreg
 module I = Safara_vir.Instr
+module Cfg = Safara_vir.Cfg
 
 type interval = { reg : V.t; i_start : int; i_end : int; use_count : int }
 
-let block_live (cfg : Cfg.t) =
-  let nb = Array.length cfg.Cfg.blocks in
-  let live_in = Array.make nb V.Set.empty in
-  let live_out = Array.make nb V.Set.empty in
-  (* precompute per-block gen (upward-exposed uses) and kill (defs) *)
-  let gen = Array.make nb V.Set.empty and kill = Array.make nb V.Set.empty in
-  Array.iteri
-    (fun k (b : Cfg.block) ->
-      let g = ref V.Set.empty and d = ref V.Set.empty in
-      for i = b.Cfg.first to b.Cfg.last do
-        let instr = cfg.Cfg.code.(i) in
-        List.iter
-          (fun u -> if not (V.Set.mem u !d) then g := V.Set.add u !g)
-          (I.uses instr);
-        List.iter (fun x -> d := V.Set.add x !d) (I.defs instr)
-      done;
-      gen.(k) <- !g;
-      kill.(k) <- !d)
-    cfg.Cfg.blocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for k = nb - 1 downto 0 do
-      let b = cfg.Cfg.blocks.(k) in
-      let out =
-        List.fold_left
-          (fun acc s -> V.Set.union acc live_in.(s))
-          V.Set.empty b.Cfg.succs
-      in
-      let inn = V.Set.union gen.(k) (V.Set.diff out kill.(k)) in
-      if not (V.Set.equal out live_out.(k)) || not (V.Set.equal inn live_in.(k))
-      then begin
-        live_out.(k) <- out;
-        live_in.(k) <- inn;
-        changed := true
-      end
-    done
-  done;
-  (live_in, live_out)
-
 let intervals (cfg : Cfg.t) =
-  let live_in, live_out = block_live cfg in
+  let live = Safara_vir.Dataflow.Live.analyze cfg in
   let tbl : (int, int * int * int) Hashtbl.t = Hashtbl.create 64 in
   (* rid -> (start, end, uses) *)
   let regs : (int, V.t) Hashtbl.t = Hashtbl.create 64 in
@@ -59,13 +20,11 @@ let intervals (cfg : Cfg.t) =
   Array.iteri
     (fun k (b : Cfg.block) ->
       (* anything live-in is live at the block start; live-out at end *)
-      V.Set.iter (fun r -> touch r b.Cfg.first ~is_use:false) live_in.(k);
-      V.Set.iter (fun r -> touch r b.Cfg.last ~is_use:false) live_out.(k);
-      for i = b.Cfg.first to b.Cfg.last do
-        let instr = cfg.Cfg.code.(i) in
-        List.iter (fun u -> touch u i ~is_use:true) (I.uses instr);
-        List.iter (fun d -> touch d i ~is_use:false) (I.defs instr)
-      done)
+      V.Set.iter (fun r -> touch r b.Cfg.first ~is_use:false) live.live_in.(k);
+      V.Set.iter (fun r -> touch r b.Cfg.last ~is_use:false) live.live_out.(k);
+      Cfg.iter_instrs cfg k (fun i instr ->
+          List.iter (fun u -> touch u i ~is_use:true) (I.uses instr);
+          List.iter (fun d -> touch d i ~is_use:false) (I.defs instr)))
     cfg.Cfg.blocks;
   Hashtbl.fold
     (fun rid (s, e, u) acc ->
@@ -77,7 +36,3 @@ let intervals (cfg : Cfg.t) =
          | c -> c)
 
 let live_at iv i = i >= iv.i_start && i <= iv.i_end
-
-let pp_interval ppf iv =
-  Format.fprintf ppf "%s: [%d,%d] uses=%d" (V.to_string iv.reg) iv.i_start
-    iv.i_end iv.use_count

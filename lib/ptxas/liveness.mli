@@ -1,5 +1,7 @@
-(** Backward liveness dataflow and live-interval construction for the
-    linear-scan allocator. A register's interval covers every
+(** Live-interval construction for the linear-scan allocator, over the
+    shared {!Safara_vir.Cfg} and {!Safara_vir.Dataflow.Live} solver —
+    the same CFG and liveness the optimizer passes, the verifier and
+    the SAF036 pressure lint use. A register's interval covers every
     instruction index at which it is live (or defined), so values that
     cross a loop back edge are live for the whole loop body — the
     long-lived dope-vector and base-pointer values the paper's clauses
@@ -12,13 +14,9 @@ type interval = {
   use_count : int;
 }
 
-val block_live : Cfg.t -> Safara_vir.Vreg.Set.t array * Safara_vir.Vreg.Set.t array
-(** (live-in, live-out) per block, to fixpoint. *)
-
-val intervals : Cfg.t -> interval list
+val intervals : Safara_vir.Cfg.t -> interval list
 (** Sorted by increasing [i_start]. Registers that are defined but
     never live (dead definitions) still get a point interval at their
     definition. *)
 
 val live_at : interval -> int -> bool
-val pp_interval : Format.formatter -> interval -> unit

@@ -1,4 +1,5 @@
 module V = Safara_vir.Vreg
+module Cfg = Safara_vir.Cfg
 
 let per_instruction (cfg : Cfg.t) =
   let n = Array.length cfg.Cfg.code in

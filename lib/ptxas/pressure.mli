@@ -6,10 +6,10 @@
     on dope-vector-heavy kernels the pressure plateau starts right
     after the descriptor loads. *)
 
-val per_instruction : Cfg.t -> int array
+val per_instruction : Safara_vir.Cfg.t -> int array
 (** Live 32-bit units at (i.e. just before) each instruction index. *)
 
-val max_pressure : Cfg.t -> int
+val max_pressure : Safara_vir.Cfg.t -> int
 
 val pp_listing : Format.formatter -> Safara_vir.Kernel.t -> unit
 (** The instruction stream annotated with live-unit counts. *)

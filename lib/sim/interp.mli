@@ -9,11 +9,10 @@
     (base, SAFARA, clauses) to prove the transformations preserve
     meaning.
 
-    Three engines share this entry point, selected by [Decode.engine]:
-    the closure-threaded compiler ({!Threaded}, the default), the
-    pre-decoded unboxed core ({!Decode}, the differential oracle and
-    [bench sim] baseline), and the original boxed walker (the semantic
-    oracle). All three are bit-identical on verifier-clean kernels. *)
+    Two engines share this entry point, selected by [Decode.engine]:
+    the closure-threaded compiler ({!Threaded}, the default) and the
+    original boxed walker (the semantic oracle). Both are
+    bit-identical on verifier-clean kernels. *)
 
 type env = Decode.env = {
   scalars : (string * Value.t) list;

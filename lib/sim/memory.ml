@@ -148,9 +148,9 @@ let rmw t ~addr f =
   let v = load t ~addr in
   store t ~addr (f v)
 
-(* --- unboxed accessors (decoded engine) ----------------------------- *)
+(* --- unboxed accessors (threaded engine) ---------------------------- *)
 (* The conversions mirror Value.to_float / Value.to_int applied to the
-   boxed [load]/[store] results, so the decoded engine observes exactly
+   boxed [load]/[store] results, so the threaded engine observes exactly
    the reference semantics without materializing a Value.t. *)
 
 (* The range check in [find_idx] already proved

@@ -39,7 +39,7 @@ val rmw : t -> addr:int -> (Value.t -> Value.t) -> unit
 
 (** {2 Unboxed cell access}
 
-    Used by the decoded simulator core: the conversions are exactly
+    Used by the threaded simulator engine: the conversions are exactly
     [Value.to_float]/[Value.to_int] of the boxed operations, without
     materializing a [Value.t]. Address resolution is a last-hit cache
     backed by binary search over the base-sorted allocation array. *)

@@ -8,10 +8,10 @@
     delta per block. Executing a thread is then a tight loop over
     block closures with no per-instruction dispatch.
 
-    Semantically the engine is [Decode.run] with the operand and
-    opcode matches hoisted to compile time: the differential suite
-    holds it bit-identical to the decoded and reference engines on
-    memory checksums, dynamic counters and timing stats.
+    Semantically each closure is the reference walker's op with the
+    operand and opcode matches hoisted to compile time: the
+    differential suite holds it bit-identical to the reference engine
+    on memory checksums, dynamic counters and timing stats.
 
     Compiled kernels capture no launch state — memory is read through
     the [Decode.params] argument — so one compile serves every
@@ -19,14 +19,13 @@
 
 (** A compiled run of execution. Block bodies return the next block
     index ([-1] = thread done); step closures ({!steps}) return the
-    next pc ([Array.length d_ops] = done), exactly like
-    [Decode.exec_op]. *)
+    next pc ([Array.length d_ops] = done). *)
 type cl = Decode.state -> Decode.params -> int
 
 type t
 
 val decoded : t -> Decode.t
-(** The decoded core this was compiled from (for state/params
+(** The decoded kernel this was compiled from (for state/params
     construction and the timing model's static tables). *)
 
 val compile : Decode.t -> t
@@ -51,5 +50,5 @@ val run_thread :
 val steps : t -> cl array
 (** Per-pc step closures for the timing model (built on demand and
     cached): [steps t.(pc) st ps] performs op [pc]'s effect and
-    returns the next pc — a drop-in replacement for [Decode.exec_op]
-    with the dispatch and operand resolution pre-compiled. *)
+    returns the next pc, with the dispatch and operand resolution
+    pre-compiled. *)

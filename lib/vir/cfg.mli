@@ -1,6 +1,7 @@
 (** Basic-block control-flow graph over a kernel's instruction
     stream — the shared substrate for every dataflow analysis
-    ({!Dataflow}) and for the verifier's def-before-use check.
+    ({!Dataflow}), for the verifier's def-before-use check and for the
+    register allocator's live intervals ([Safara_ptxas.Liveness]).
 
     Leaders: instruction 0, every [Label], every instruction after a
     branch ([bra]/[brc]/[ret]). Edges: branch targets plus

@@ -321,7 +321,7 @@ let prop_allocation_valid =
       List.for_all
         (fun r ->
           let k = Safara_vir.Codegen.compile_region ~arch prog r in
-          let cfg = Safara_ptxas.Cfg.build k.Safara_vir.Kernel.code in
+          let cfg = Safara_vir.Cfg.build k.Safara_vir.Kernel.code in
           let res = Safara_ptxas.Linear_scan.allocate ~max_regs:255 cfg in
           match Safara_ptxas.Linear_scan.verify cfg res with
           | Ok () -> true

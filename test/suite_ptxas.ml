@@ -1,11 +1,12 @@
-(* Tests for the assembler stand-in: CFG construction, liveness,
-   linear-scan allocation (pair alignment, spilling) and the feedback
-   report. *)
+(* Tests for the assembler stand-in: the CFG and live intervals it
+   allocates over, linear-scan allocation (pair alignment, spilling),
+   the SAF037 cap guard and the feedback report. *)
 
 module I = Safara_vir.Instr
 module V = Safara_vir.Vreg
 module T = Safara_ir.Types
 open Safara_ptxas
+module Cfg = Safara_vir.Cfg
 
 let arch = Safara_gpu.Arch.kepler_k20xm
 
@@ -230,6 +231,101 @@ let test_report_fields () =
   Alcotest.(check bool) "positive regs" true (rep.Assemble.regs_used > 0);
   Alcotest.(check bool) "instr count" true (rep.Assemble.instructions > 10)
 
+(* The allocator's intervals come from the shared liveness solver:
+   every register live after an instruction, or defined by it, must
+   sit inside its interval at that instruction, on every shipped
+   kernel. *)
+let test_intervals_cover_shared_liveness () =
+  let module Live = Safara_vir.Dataflow.Live in
+  List.iter
+    (fun (w : Safara_suites.Workload.t) ->
+      List.iter
+        (fun profile ->
+          let c =
+            Safara_core.Compiler.compile_src ~arch profile
+              w.Safara_suites.Workload.source
+          in
+          List.iter
+            (fun ((k : Safara_vir.Kernel.t), _) ->
+              let cfg = Cfg.build k.Safara_vir.Kernel.code in
+              let by_rid = Hashtbl.create 64 in
+              List.iter
+                (fun iv -> Hashtbl.replace by_rid iv.Liveness.reg.V.rid iv)
+                (Liveness.intervals cfg);
+              let out = Live.per_instr_out cfg (Live.analyze cfg) in
+              Array.iteri
+                (fun i instr ->
+                  V.Set.iter
+                    (fun r ->
+                      match Hashtbl.find_opt by_rid r.V.rid with
+                      | Some iv when Liveness.live_at iv i -> ()
+                      | _ ->
+                          Alcotest.failf "%s/%s: %s live at %d outside its interval"
+                            w.Safara_suites.Workload.id k.Safara_vir.Kernel.kname
+                            (V.to_string r) i)
+                    (V.Set.union out.(i) (V.Set.of_list (I.defs instr))))
+                k.Safara_vir.Kernel.code)
+            c.Safara_core.Compiler.c_kernels)
+        [ Safara_core.Compiler.Full; Safara_core.Compiler.Base ])
+    Safara_suites.Registry.all
+
+(* examples/programs/fig5.macc *)
+let fig5 =
+  {|
+param int jsize;
+param int isize;
+double a[isize][jsize];
+in double b[jsize][isize];
+double c[jsize];
+double d[jsize];
+#pragma acc kernels name(fig5)
+{
+  #pragma acc loop gang vector(128)
+  for (j = 1; j <= jsize - 2; j++) {
+    c[j] = b[j][0] + b[j][1];
+    d[j] = c[j] * b[j][0];
+    #pragma acc loop seq
+    for (i = 1; i <= isize - 2; i++) {
+      a[i][j] = a[i-1][j] + b[j][i-1] + a[i+1][j] + b[j][i+1];
+    }
+  }
+}
+|}
+
+(* Every cap either yields a report within it or a SAF037 rejection,
+   promptly: caps below the operand floor used to spill without end. *)
+let test_cap_below_floor_is_saf037 () =
+  let c = Safara_core.Compiler.compile_src ~arch Safara_core.Compiler.Full fig5 in
+  List.iter
+    (fun ((k : Safara_vir.Kernel.t), _) ->
+      let reports = ref 0 and rejections = ref 0 in
+      for cap = -1 to 8 do
+        let t0 = Unix.gettimeofday () in
+        let outcome =
+          match Assemble.assemble ~max_regs:cap ~arch k with
+          | _, rep -> Ok rep
+          | exception Failure msg -> Error msg
+        in
+        let what = Printf.sprintf "cap %d" cap in
+        Alcotest.(check bool)
+          (what ^ " finishes within 5 s") true
+          (Unix.gettimeofday () -. t0 < 5.);
+        match outcome with
+        | Ok rep ->
+            incr reports;
+            Alcotest.(check bool)
+              (what ^ " respected") true (rep.Assemble.regs_used <= cap)
+        | Error msg ->
+            incr rejections;
+            Alcotest.(check bool)
+              (what ^ " rejected with SAF037: " ^ msg) true
+              (Str_helpers.contains msg "error[SAF037]")
+      done;
+      (* the sweep straddles the floor: both outcomes occur *)
+      Alcotest.(check bool) "some caps assemble" true (!reports > 0);
+      Alcotest.(check bool) "some caps are rejected" true (!rejections > 0))
+    c.Safara_core.Compiler.c_kernels
+
 let suite =
   [
     Alcotest.test_case "cfg single block" `Quick test_cfg_single_block;
@@ -244,4 +340,8 @@ let suite =
     Alcotest.test_case "assemble spill roundtrip" `Quick test_assemble_spill_roundtrip;
     Alcotest.test_case "pressure lower bound" `Quick test_pressure_lower_bound;
     Alcotest.test_case "report fields" `Quick test_report_fields;
+    Alcotest.test_case "intervals cover shared liveness" `Slow
+      test_intervals_cover_shared_liveness;
+    Alcotest.test_case "SAF037: caps -1..8 on fig5" `Quick
+      test_cap_below_floor_is_saf037;
   ]

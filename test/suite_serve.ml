@@ -249,6 +249,38 @@ let compile_req ?(quiet = false) ~profile (w : Workload.t) =
       cr_disable = [];
     }
 
+(* --- SAF037: an unsatisfiable register cap ------------------------------ *)
+
+let test_daemon_rejects_cap_and_keeps_serving () =
+  with_daemon ~jobs:2 (fun socket ->
+      match Serve.Client.try_connect socket with
+      | None -> Alcotest.fail "daemon not reachable"
+      | Some conn ->
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close conn)
+            (fun () ->
+              let w = Registry.find "EP" in
+              let capped =
+                match compile_req ~quiet:true ~profile:"full" w with
+                | Serve.Protocol.Compile r ->
+                    Serve.Protocol.Compile { r with cr_maxrreg = Some 0 }
+                | _ -> assert false
+              in
+              (match Serve.Client.request conn capped with
+              | Serve.Protocol.Error e ->
+                  Alcotest.(check bool)
+                    "error carries SAF037" true
+                    (Str_helpers.contains e "SAF037")
+              | _ -> Alcotest.fail "maxrreg 0 must get an Error reply");
+              match
+                Serve.Client.request conn
+                  (compile_req ~quiet:true ~profile:"full" w)
+              with
+              | Serve.Protocol.Result (o, _) ->
+                  Alcotest.(check int) "same connection still compiles" 0
+                    o.Serve.Protocol.code
+              | _ -> Alcotest.fail "connection stopped serving after SAF037"))
+
 let run_req (w : Workload.t) =
   Serve.Protocol.Run
     {
@@ -453,4 +485,6 @@ let suite =
       `Quick test_daemon_concurrent_dedup;
     Alcotest.test_case "daemon: SIGTERM shuts down cleanly" `Quick
       test_sigterm_shutdown;
+    Alcotest.test_case "daemon: SAF037 cap rejected, connection kept" `Quick
+      test_daemon_rejects_cap_and_keeps_serving;
   ]

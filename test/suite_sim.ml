@@ -343,11 +343,11 @@ double a[n];
   Alcotest.(check bool) "cached version faster" true
     ((time cached).Launch.kt_ms < (time redundant).Launch.kt_ms)
 
-(* --- differential: all three execution engines ----------------------- *)
-(* The decoded core and the closure-threaded compiler are only
-   performance changes: on every workload each must produce the same
-   array bits, the same functional counters and the same timing
-   statistics as the boxed reference walker. *)
+(* --- differential: both execution engines ------------------------------ *)
+(* The closure-threaded compiler is only a performance change: on every
+   workload it must produce the same array bits, the same functional
+   counters and the same timing statistics as the boxed reference
+   walker. *)
 
 let engine_snapshot profile (w : Safara_suites.Workload.t) eng =
   Decode.with_engine eng (fun () ->
@@ -385,27 +385,42 @@ let engine_snapshot profile (w : Safara_suites.Workload.t) eng =
 let check_engines_agree profile (w : Safara_suites.Workload.t) () =
   let w = Suite_workloads.shrink w in
   let r_sums, r_cnt, r_time = engine_snapshot profile w Decode.Reference in
+  let t_sums, t_cnt, t_time = engine_snapshot profile w Decode.Threaded in
+  List.iter2
+    (fun (arr, r) (_, t) ->
+      if r <> t then
+        Alcotest.fail
+          (Printf.sprintf "%s: array %s differs between reference and threaded"
+             w.Safara_suites.Workload.id arr))
+    r_sums t_sums;
+  if r_cnt <> t_cnt then
+    Alcotest.fail
+      (Printf.sprintf "%s: functional counters differ under threaded"
+         w.Safara_suites.Workload.id);
+  (* [compare] rather than [=] so identical NaNs would still agree *)
+  if compare r_time t_time <> 0 then
+    Alcotest.fail
+      (Printf.sprintf "%s: timing stats differ under threaded"
+         w.Safara_suites.Workload.id)
+
+(* the selector knows exactly the two engines; anything else — the
+   retired "decoded" engine included — fails listing the valid names *)
+let test_engine_selector () =
   List.iter
-    (fun eng ->
-      let e_sums, e_cnt, e_time = engine_snapshot profile w eng in
-      let name = Decode.engine_name eng in
-      List.iter2
-        (fun (arr, r) (_, e) ->
-          if r <> e then
-            Alcotest.fail
-              (Printf.sprintf "%s: array %s differs between reference and %s"
-                 w.Safara_suites.Workload.id arr name))
-        r_sums e_sums;
-      if r_cnt <> e_cnt then
-        Alcotest.fail
-          (Printf.sprintf "%s: functional counters differ under %s"
-             w.Safara_suites.Workload.id name);
-      (* [compare] rather than [=] so identical NaNs would still agree *)
-      if compare r_time e_time <> 0 then
-        Alcotest.fail
-          (Printf.sprintf "%s: timing stats differ under %s"
-             w.Safara_suites.Workload.id name))
-    [ Decode.Decoded; Decode.Threaded ]
+    (fun (name, e) ->
+      Alcotest.(check string) name (Decode.engine_name e)
+        (Decode.engine_name (Decode.engine_of_string name)))
+    [ ("reference", Decode.Reference); ("REF", Decode.Reference);
+      ("threaded", Decode.Threaded); (" thr ", Decode.Threaded) ];
+  List.iter
+    (fun name ->
+      match Decode.engine_of_string name with
+      | e -> Alcotest.failf "%S selected %s" name (Decode.engine_name e)
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (name ^ " lists the engines: " ^ msg) true
+            (Str_helpers.contains msg "(expected reference|threaded)"))
+    [ "decoded"; "dec"; "bogus" ]
 
 let test_decode_unknown_label () =
   let k =
@@ -511,10 +526,10 @@ let with_pool size f =
       f pool)
 
 (* final memory + summed counters + per-kernel modes of a functional
-   run on the given engine, sequential ([jobs = 1]: no pool) or
+   run on the threaded engine, sequential ([jobs = 1]: no pool) or
    block-parallel *)
-let parallel_snapshot profile (w : Safara_suites.Workload.t) ~eng ~jobs =
-  Decode.with_engine eng @@ fun () ->
+let parallel_snapshot profile (w : Safara_suites.Workload.t) ~jobs =
+  Decode.with_engine Decode.Threaded @@ fun () ->
   let run pool =
     let c =
       Safara_core.Compiler.compile_src profile w.Safara_suites.Workload.source
@@ -546,21 +561,21 @@ let parallel_snapshot profile (w : Safara_suites.Workload.t) ~eng ~jobs =
   in
   if jobs <= 1 then run None else with_pool jobs (fun pool -> run (Some pool))
 
-let check_parallel_agrees profile eng (w : Safara_suites.Workload.t) () =
+let check_parallel_agrees profile (w : Safara_suites.Workload.t) () =
   let w = Suite_workloads.shrink w in
-  let s_sums, s_cnt, _ = parallel_snapshot profile w ~eng ~jobs:1 in
-  let p_sums, p_cnt, p_modes = parallel_snapshot profile w ~eng ~jobs:4 in
+  let s_sums, s_cnt, _ = parallel_snapshot profile w ~jobs:1 in
+  let p_sums, p_cnt, p_modes = parallel_snapshot profile w ~jobs:4 in
   List.iter2
     (fun (name, s) (_, p) ->
       if s <> p then
         Alcotest.fail
-          (Printf.sprintf "%s: array %s differs between -j 1 and -j 4 (%s)"
-             w.Safara_suites.Workload.id name (Decode.engine_name eng)))
+          (Printf.sprintf "%s: array %s differs between -j 1 and -j 4"
+             w.Safara_suites.Workload.id name))
     s_sums p_sums;
   if s_cnt <> p_cnt then
     Alcotest.fail
-      (Printf.sprintf "%s: summed counters differ at -j 4 (%s)"
-         w.Safara_suites.Workload.id (Decode.engine_name eng));
+      (Printf.sprintf "%s: summed counters differ at -j 4"
+         w.Safara_suites.Workload.id);
   (* with a parallel pool every multi-block launch must either run
      block-parallel or carry an explicit fallback reason (single-block
      grids skip the prover: there is nothing to fan out) *)
@@ -808,11 +823,11 @@ let test_costmodel_estimate_scales () =
 
 (* --- threaded engine: superop fusion boundaries ---------------------- *)
 (* Hand-built register-only kernels drive the closure compiler's fusion
-   paths directly against the decoded core, comparing final register
-   files bit-for-bit and instruction counts exactly. The shapes are
-   chosen to straddle fusion boundaries: labels inside would-be fused
-   runs, branches landing between dependent ops, and compare-and-branch
-   terminators. *)
+   paths directly, comparing the whole final register file with a
+   direct OCaml evaluation and the instruction count with the
+   reference walker's. The shapes are chosen to straddle fusion
+   boundaries: labels inside would-be fused runs, branches landing
+   between dependent ops, and compare-and-branch terminators. *)
 
 let vreg rid rty = { Safara_vir.Vreg.rid; rty }
 let freg rid = vreg rid Safara_ir.Types.F64
@@ -829,9 +844,9 @@ let regonly_kernel name code =
     shared_bytes = 0;
   }
 
-(* run one thread of a parameterless kernel on each engine, returning
-   (float regs, int regs, instructions) *)
-let regonly_run k eng =
+(* run one thread of a parameterless kernel on the threaded engine,
+   returning (float regs, int regs, instructions) *)
+let regonly_run k =
   let d = Decode.decode k in
   let prog = Safara_ir.Program.make "t" [] in
   let env = { Decode.scalars = []; mem = Memory.create () } in
@@ -839,24 +854,27 @@ let regonly_run k eng =
   let ps = Decode.make_params d ~env ~prog in
   Decode.reset_state st;
   let cnt = Decode.fresh_counters () in
-  (match eng with
-  | Decode.Decoded ->
-      ignore (Decode.run d st ps cnt ~pc:0 ~fuel:max_int)
-  | Decode.Threaded ->
-      Threaded.run_thread (Threaded.compile d) st ps cnt ~fuel:max_int
-  | Decode.Reference -> invalid_arg "regonly_run: decoded-family only");
+  Threaded.run_thread (Threaded.compile d) st ps cnt ~fuel:max_int;
   (Array.copy st.Decode.xf, Array.copy st.Decode.xi, cnt.Decode.c_instructions)
 
-let check_regonly_agree k =
-  let d_xf, d_xi, d_n = regonly_run k Decode.Decoded in
-  let t_xf, t_xi, t_n = regonly_run k Decode.Threaded in
-  Alcotest.(check (array (float 0.)))
-    (k.Safara_vir.Kernel.kname ^ ": float registers") d_xf t_xf;
-  Alcotest.(check (array int))
-    (k.Safara_vir.Kernel.kname ^ ": int registers")
-    d_xi t_xi;
-  Alcotest.(check int) (k.Safara_vir.Kernel.kname ^ ": instructions") d_n t_n;
-  (d_xf, d_xi, d_n)
+(* the reference walker's dynamic instruction count for the same thread *)
+let reference_instructions k =
+  Decode.with_engine Decode.Reference (fun () ->
+      let counters = Interp.fresh_counters () in
+      Interp.run_kernel ~counters ~prog:(Safara_ir.Program.make "t" [])
+        ~env:{ Interp.scalars = []; mem = Memory.create () }
+        ~grid:(1, 1, 1) k;
+      counters.Interp.c_instructions)
+
+(* [xf]/[xi]: the expected float and int/predicate register halves,
+   indexed by rid (a rid's slot in the other half stays zero) *)
+let check_regonly k ~xf ~xi =
+  let name = k.Safara_vir.Kernel.kname in
+  let t_xf, t_xi, t_n = regonly_run k in
+  Alcotest.(check (array (float 0.))) (name ^ ": float registers") xf t_xf;
+  Alcotest.(check (array int)) (name ^ ": int registers") xi t_xi;
+  Alcotest.(check int) (name ^ ": instructions") (reference_instructions k) t_n;
+  (t_xf, t_n)
 
 let test_fusion_loop_with_dependent_chain () =
   (* a loop whose body is a fusable dependent float pair, an int
@@ -879,16 +897,18 @@ let test_fusion_loop_with_dependent_chain () =
         I.Ret;
       |]
   in
-  let xf, xi, n = check_regonly_agree k in
-  (* the engines must also match a direct OCaml evaluation bit-for-bit *)
+  (* the engine must match a direct OCaml evaluation bit-for-bit *)
   let acc = ref 0.0 and t = ref 1.5 in
   for _ = 1 to 40 do
     t := !t *. 1.0000001;
     acc := !acc +. !t
   done;
+  (* trip count 40 in i3; the final compare leaves p4 false *)
+  let xf, n =
+    check_regonly k ~xf:[| 0.; !acc; !t; 0.; 0. |] ~xi:[| 0; 0; 0; 40; 0 |]
+  in
   Alcotest.(check int) "accumulator bits" 0
     (Int64.compare (Int64.bits_of_float !acc) (Int64.bits_of_float xf.(1)));
-  Alcotest.(check int) "trip count" 40 xi.(3);
   (* 3 preamble ops + 40 × 6-op loop body (the label counts as an
      instruction, exactly like the reference walker) + Ret *)
   Alcotest.(check int) "instructions" (3 + (40 * 6) + 1) n
@@ -914,12 +934,11 @@ let test_fusion_branch_into_straightline () =
         I.Ret;
       |]
   in
-  let xf, xi, _ = check_regonly_agree k in
   (* entry skips the multiply once: f2 = 10+1, then 2 round trips
-     through "top": f1 = 3 then 9, f2 = 11+3 = 14 then 14+9 = 23 *)
-  Alcotest.(check (float 0.)) "f1" 9.0 xf.(1);
-  Alcotest.(check (float 0.)) "f2" 23.0 xf.(2);
-  Alcotest.(check int) "loop counter" 3 xi.(3)
+     through "top": f1 = 3 then 9, f2 = 11+3 = 14 then 14+9 = 23; the
+     loop counter i3 ends at 3 and the last compare leaves p4 false *)
+  ignore
+    (check_regonly k ~xf:[| 0.; 9.0; 23.0; 0.; 0. |] ~xi:[| 0; 0; 0; 3; 0 |])
 
 let test_fusion_unop_chain () =
   (* dependent unary chains exercise the compile-time unop
@@ -937,14 +956,15 @@ let test_fusion_unop_chain () =
         I.Ret;
       |]
   in
-  let xf, _, _ = check_regonly_agree k in
-  Alcotest.(check (float 0.)) "sqrt of product" 3.0 xf.(3);
-  Alcotest.(check (float 0.)) "floor" 3.0 xf.(4);
-  Alcotest.(check (float 0.)) "negated fraction" 0.0 xf.(6)
+  (* f2 = 2.25*4, f3 = sqrt f2, f4 = floor f3, f5 = f3-f4, f6 = -f5 *)
+  ignore
+    (check_regonly k
+       ~xf:[| 0.; 2.25; 9.0; 3.0; 3.0; 0.0; -0.0 |]
+       ~xi:(Array.make 7 0))
 
 let test_fusion_addressing_chain_source () =
   (* the full addressing idiom (scale, convert, base add, load, move)
-     as generated from real array code, across all three engines with
+     as generated from real array code, across both engines with
      counters: a small strided gather that the quad fuser collapses *)
   let src =
     {|
@@ -981,11 +1001,8 @@ double y[n];
             counters.Interp.c_stores ) ))
   in
   let r_sum, r_cnt = snapshot Decode.Reference in
-  let d_sum, d_cnt = snapshot Decode.Decoded in
   let t_sum, t_cnt = snapshot Decode.Threaded in
-  Alcotest.(check int64) "decoded checksum" r_sum d_sum;
   Alcotest.(check int64) "threaded checksum" r_sum t_sum;
-  Alcotest.(check bool) "decoded counters" true (r_cnt = d_cnt);
   Alcotest.(check bool) "threaded counters" true (r_cnt = t_cnt)
 
 let test_memory_view_cursors () =
@@ -1027,6 +1044,8 @@ let suite =
     Alcotest.test_case "fewer memory ops faster" `Quick test_fewer_memops_faster;
     Alcotest.test_case "decode: unknown label is SAF021" `Quick
       test_decode_unknown_label;
+    Alcotest.test_case "engine selector: reference|threaded only" `Quick
+      test_engine_selector;
     Alcotest.test_case "memory: many allocations resolve" `Quick
       test_memory_many_allocs;
     Alcotest.test_case "memory: padding gaps rejected" `Quick
@@ -1076,20 +1095,14 @@ let suite =
       Safara_suites.Registry.all
   @ List.concat_map
       (fun (w : Safara_suites.Workload.t) ->
-        List.concat_map
-          (fun eng ->
-            let ename = Decode.engine_name eng in
-            [
-              Alcotest.test_case
-                (Printf.sprintf "%s parallel ≡ serial (Full, %s)"
-                   w.Safara_suites.Workload.id ename)
-                `Slow
-                (check_parallel_agrees Safara_core.Compiler.Full eng w);
-              Alcotest.test_case
-                (Printf.sprintf "%s parallel ≡ serial (Base, %s)"
-                   w.Safara_suites.Workload.id ename)
-                `Slow
-                (check_parallel_agrees Safara_core.Compiler.Base eng w);
-            ])
-          [ Decode.Decoded; Decode.Threaded ])
+        [
+          Alcotest.test_case
+            (w.Safara_suites.Workload.id ^ " parallel ≡ serial (Full, threaded)")
+            `Slow
+            (check_parallel_agrees Safara_core.Compiler.Full w);
+          Alcotest.test_case
+            (w.Safara_suites.Workload.id ^ " parallel ≡ serial (Base, threaded)")
+            `Slow
+            (check_parallel_agrees Safara_core.Compiler.Base w);
+        ])
       Safara_suites.Registry.all
