@@ -875,6 +875,7 @@ let micro_tests ~arch () =
   let resolved = Safara_analysis.Schedule.resolve_program prog in
   let region = List.hd resolved.Safara_ir.Program.regions in
   let kernel = Safara_vir.Codegen.compile_region ~arch resolved region in
+  let measure = Safara_core.Pipeline.regs_used (Safara_core.Pass.make_ctx ~arch ~latency) in
   [
     Test.make ~name:"front-end: parse seismic"
       (Staged.stage (fun () -> ignore (Safara_lang.Parser.parse src)));
@@ -896,7 +897,7 @@ let micro_tests ~arch () =
     Test.make ~name:"SAFARA: optimize hot1 (full feedback loop)"
       (Staged.stage (fun () ->
            ignore
-             (Safara_transform.Safara.optimize_region ~arch ~latency resolved region)));
+             (Safara_transform.Safara.optimize_region ~measure ~arch ~latency resolved region)));
   ]
 
 let run_micro ~arch () =

@@ -29,9 +29,10 @@ type ctx = {
   arch : Safara_gpu.Arch.t;
   latency : Safara_gpu.Latency.table;
   mutable logs : (string * Safara_transform.Safara.round list) list;
+  mutable disabled : string list;
 }
 
-let make_ctx ~arch ~latency = { arch; latency; logs = [] }
+let make_ctx ~arch ~latency = { arch; latency; logs = []; disabled = [] }
 
 type ('a, 'b) t = {
   name : string;

@@ -59,6 +59,8 @@ type ctx = {
   arch : Safara_gpu.Arch.t;
   latency : Safara_gpu.Latency.table;
   mutable logs : (string * Safara_transform.Safara.round list) list;
+  mutable disabled : string list;
+      (** the run's [--disable-pass] set, recorded by {!Pipeline.run} *)
 }
 
 val make_ctx : arch:Safara_gpu.Arch.t -> latency:Safara_gpu.Latency.table -> ctx

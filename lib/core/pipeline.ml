@@ -59,25 +59,13 @@ let resolve_schedules =
   Pass.make ~name:"resolve-schedules" ~input:Pass.Ir ~output:Pass.Ir (fun _ ->
       Safara_analysis.Schedule.resolve_program)
 
-let safara ?override mode =
-  Pass.make ~name:"safara" ~input:Pass.Ir ~output:Pass.Ir ~identity:Fun.id
-    (fun ctx prog ->
-      let config = safara_config_of ?override ~arch:ctx.Pass.arch mode in
-      let prog', logs =
-        Safara_transform.Safara.optimize_program ~resolve_first:false ~config
-          ~arch:ctx.Pass.arch ~latency:ctx.Pass.latency prog
-      in
-      ctx.Pass.logs <- logs;
-      prog')
-
 let codegen =
   Pass.make ~name:"codegen" ~input:Pass.Ir ~output:Pass.Vir (fun ctx prog ->
       {
         Pass.v_prog = prog;
         v_kernels =
           List.map
-            (Safara_vir.Codegen.compile_region ~peephole:false
-               ~arch:ctx.Pass.arch prog)
+            (Safara_vir.Codegen.compile_region ~arch:ctx.Pass.arch prog)
             prog.P.regions;
       })
 
@@ -129,25 +117,59 @@ type ('a, 'b) seq =
   | Done : ('a, 'a) seq
   | Step : ('a, 'b) Pass.t * ('b, 'c) seq -> ('a, 'c) seq
 
+(* every profile's tail, and the only compile SAFARA's feedback runs *)
+let backend =
+  Step
+    ( codegen,
+      Step
+        ( peephole,
+          Step
+            ( copy_prop,
+              Step
+                ( strength_red,
+                  Step
+                    ( indvar,
+                      Step (memmerge, Step (dce, Step (assemble, Done))) ) ) )
+        ) )
+
+(* one pass, or its skip when the run disables it *)
+let apply ~disabled ctx (p : (_, _) Pass.t) v =
+  if not disabled then p.Pass.run ctx v
+  else
+    match p.Pass.identity with
+    | Some f -> f v
+    | None ->
+        invalid_arg
+          (Printf.sprintf "pass %s changes the IR stage and cannot be disabled"
+             p.Pass.name)
+
+let regs_used ctx prog region =
+  let rec go : type a b. (a, b) seq -> a -> b =
+   fun s v ->
+    match s with
+    | Done -> v
+    | Step (p, rest) ->
+        go rest (apply ~disabled:(List.mem p.Pass.name ctx.Pass.disabled) ctx p v)
+  in
+  let _, report = List.hd (go backend { prog with P.regions = [ region ] }).Pass.a_kernels in
+  report.Safara_ptxas.Assemble.regs_used
+
+let safara ?override mode =
+  Pass.make ~name:"safara" ~input:Pass.Ir ~output:Pass.Ir ~identity:Fun.id
+    (fun ctx prog ->
+      let config = safara_config_of ?override ~arch:ctx.Pass.arch mode in
+      let prog', logs =
+        Safara_transform.Safara.optimize_program ~config ~measure:(regs_used ctx)
+          ~arch:ctx.Pass.arch ~latency:ctx.Pass.latency prog
+      in
+      ctx.Pass.logs <- logs;
+      prog')
+
 let build ?safara_config d =
   let tail =
-    Step
-      ( codegen,
-        Step
-          ( peephole,
-            Step
-              ( copy_prop,
-                Step
-                  ( strength_red,
-                    Step
-                      ( indvar,
-                        Step (memmerge, Step (dce, Step (assemble, Done))) ) )
-              ) ) )
-  in
-  let tail =
     match d.d_safara with
-    | None -> tail
-    | Some mode -> Step (safara ?override:safara_config mode, tail)
+    | None -> backend
+    | Some mode -> Step (safara ?override:safara_config mode, backend)
   in
   Step
     ( strip_clauses ~keep_small:d.d_keep_small ~keep_dim:d.d_keep_dim,
@@ -214,6 +236,7 @@ let check_known what names =
 
 let run ?(options = default_options) ~name ctx pipe input =
   check_known "--disable-pass" options.o_disable;
+  ctx.Pass.disabled <- options.o_disable;
   (match options.o_dump with
   | `Passes l -> check_known "--dump-ir" l
   | `None | `All -> ());
@@ -237,17 +260,7 @@ let run ?(options = default_options) ~name ctx pipe input =
         in
         let disabled = List.mem p.Pass.name options.o_disable in
         let t0 = Unix.gettimeofday () in
-        let v' =
-          if disabled then
-            match p.Pass.identity with
-            | Some f -> f v
-            | None ->
-                invalid_arg
-                  (Printf.sprintf
-                     "pass %s changes the IR stage and cannot be disabled"
-                     p.Pass.name)
-          else p.Pass.run ctx v
-        in
+        let v' = apply ~disabled ctx p v in
         let dt = Unix.gettimeofday () -. t0 in
         if options.o_verify && not disabled then Pass.verify p.Pass.output v';
         let after = Pass.measure ~precise p.Pass.output v' in

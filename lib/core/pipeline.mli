@@ -6,7 +6,8 @@
     descriptor into the typed pass sequence
 
     {v strip-clauses → resolve-schedules → [safara] → codegen →
-       peephole → copy-prop → strength-red → dce → assemble v}
+       peephole → copy-prop → strength-red → indvar → memmerge → dce →
+       assemble v}
 
     and {!run} executes it with per-pass instrumentation: wall time,
     before/after {!Pass.stats}, optional IR snapshots after any pass
@@ -62,6 +63,11 @@ val build :
 
 val pass_names : ?safara_config:Safara_transform.Safara.config -> desc -> string list
 (** The pass names {!build} would produce, in order. *)
+
+val regs_used : Pass.ctx -> Safara_ir.Program.t -> Safara_ir.Region.t -> int
+(** SAFARA's feedback: registers per thread of one region through the
+    codegen → assemble tail minus [ctx]'s disabled passes. It neither
+    verifies nor measures: only the final region ships, via {!run}. *)
 
 val signature :
   ?safara_config:Safara_transform.Safara.config ->

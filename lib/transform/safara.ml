@@ -31,11 +31,6 @@ type round = {
   skipped : int;
 }
 
-let regs_used ~arch prog region =
-  let kernel = Safara_vir.Codegen.compile_region ~arch prog region in
-  let _, report = Safara_ptxas.Assemble.assemble ~arch kernel in
-  report.Safara_ptxas.Assemble.regs_used
-
 let rank config cands =
   match config.cost_model with
   | `Latency_times_count -> cands (* Reuse already sorts by C × L *)
@@ -58,22 +53,25 @@ let select budget cands =
   in
   go budget [] 0 cands
 
-let optimize_region ?config ~arch ~latency prog region =
+let optimize_region ?config ~measure ~arch ~latency prog region =
   let config = Option.value config ~default:(default_config ~arch) in
   let rec loop region rounds round_index =
     if round_index > config.max_rounds then (region, List.rev rounds)
     else
-      let used = if config.use_feedback then regs_used ~arch prog region else 0 in
+      let cands =
+        rank config (Reuse.candidates ~policy:config.policy ~arch ~latency prog region)
+      in
+      (* with no candidates the round ends at [applied = []] whatever
+         the count, so skip the feedback compile *)
+      let used =
+        if config.use_feedback && cands <> [] then measure prog region else 0
+      in
       let available =
         if config.use_feedback then config.reg_cap - used
         else config.assumed_free_regs
       in
       if available <= 0 then (region, List.rev rounds)
       else
-        let cands =
-          Reuse.candidates ~policy:config.policy ~arch ~latency prog region
-        in
-        let cands = rank config cands in
         let applied, skipped = select available cands in
         if applied = [] then (region, List.rev rounds)
         else
@@ -93,17 +91,13 @@ let optimize_region ?config ~arch ~latency prog region =
   in
   loop region [] 1
 
-let optimize_program ?config ?(resolve_first = true) ~arch ~latency prog =
+let optimize_program ?config ~measure ~arch ~latency prog =
   Scalar_replacement.reset_fresh ();
-  let prog =
-    if resolve_first then Safara_analysis.Schedule.resolve_program prog
-    else prog
-  in
   let logs = ref [] in
   let regions =
     List.map
       (fun r ->
-        let r', rounds = optimize_region ?config ~arch ~latency prog r in
+        let r', rounds = optimize_region ?config ~measure ~arch ~latency prog r in
         logs := (r.Safara_ir.Region.rname, rounds) :: !logs;
         r')
       prog.Safara_ir.Program.regions

@@ -2,15 +2,13 @@
     (paper §III.B).
 
     The iterative driver:
-    + compile the region and run the assembler ({!Safara_ptxas}) with
-      no scalar replacement — its report is the "PTXAS Info" feedback;
-    + available registers = cap − registers used;
     + collect reuse candidates ({!Safara_analysis.Reuse}), classified
-      by memory space and access pattern;
+      by memory space and access pattern; stop when there are none;
+    + [measure] the region — the "PTXAS Info" feedback;
+    + available registers = cap − registers used;
     + if every candidate fits, replace them all; otherwise take the
       highest [C × L] cost candidates that fit;
-    + re-run the assembler and repeat until registers are exhausted or
-      no candidates remain.
+    + repeat until registers are exhausted or no candidates remain.
 
     The [cost_model] and [use_feedback] switches exist for the
     ablation benchmarks: [`Count_only] reproduces the Carr–Kennedy
@@ -39,24 +37,24 @@ type round = {
 
 val optimize_region :
   ?config:config ->
+  measure:(Safara_ir.Program.t -> Safara_ir.Region.t -> int) ->
   arch:Safara_gpu.Arch.t ->
   latency:Safara_gpu.Latency.table ->
   Safara_ir.Program.t ->
   Safara_ir.Region.t ->
   Safara_ir.Region.t * round list
-(** The region must be schedule-resolved. Returns the transformed
+(** The region must be schedule-resolved; [measure prog region] is the
+    registers per thread it compiles to. Returns the transformed
     region and the per-round log (empty when nothing was applied). *)
 
 val optimize_program :
   ?config:config ->
-  ?resolve_first:bool ->
+  measure:(Safara_ir.Program.t -> Safara_ir.Region.t -> int) ->
   arch:Safara_gpu.Arch.t ->
   latency:Safara_gpu.Latency.table ->
   Safara_ir.Program.t ->
   Safara_ir.Program.t * (string * round list) list
-(** Schedule-resolves, then optimizes every region. Pass
-    [~resolve_first:false] when the program is already resolved
-    (resolution is idempotent, so this is purely a saving — the staged
-    pipeline runs resolution as its own pass). *)
+(** {!optimize_region} over every region of a schedule-resolved
+    program. *)
 
 val pp_round : Format.formatter -> round -> unit

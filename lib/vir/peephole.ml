@@ -177,7 +177,3 @@ let dead_code_eliminate code =
 let optimize code =
   code |> Array.map fold_instr |> copy_propagate |> Array.map fold_instr
   |> dead_code_eliminate
-
-let stats before after =
-  Printf.sprintf "peephole: %d -> %d instructions" (Array.length before)
-    (Array.length after)

@@ -13,6 +13,3 @@
     compare results with it enabled. *)
 
 val optimize : Instr.t array -> Instr.t array
-
-val stats : Instr.t array -> Instr.t array -> string
-(** Human-readable before/after summary. *)

@@ -134,10 +134,11 @@ let test_npb_small_is_noop () =
    under every profile must yield Marshal-checksum-identical
    transformed IR, kernels, ptxas reports and SAFARA logs. The
    monolithic driver predates the dataflow pass catalog, so the
-   pipeline runs with copy-prop/strength-red/dce disabled here; their
-   own bit-identity obligation (simulated results, not instruction
-   streams) is covered by the differential sweep in
-   Suite_dataflow. *)
+   pipeline runs with the five dataflow passes disabled here, which
+   makes its SAFARA feedback the reference's codegen + peephole +
+   assemble measure; their own bit-identity obligation (simulated
+   results, not instruction streams) is covered by the differential
+   sweep in Suite_dataflow. *)
 
 let reference_compile ?(arch = Safara_gpu.Arch.kepler_k20xm)
     ?(latency = Safara_gpu.Latency.kepler) profile prog =
@@ -179,19 +180,18 @@ let reference_compile ?(arch = Safara_gpu.Arch.kepler_k20xm)
       }
     else Safara_transform.Safara.default_config ~arch
   in
+  let backend prog r =
+    let k = Safara_vir.Codegen.compile_region ~arch prog r in
+    Safara_ptxas.Assemble.assemble ~arch
+      { k with Safara_vir.Kernel.code = Safara_vir.Peephole.optimize k.Safara_vir.Kernel.code }
+  in
+  let measure prog r = (snd (backend prog r)).Safara_ptxas.Assemble.regs_used in
   let prog, logs =
     if uses_safara profile then
-      Safara_transform.Safara.optimize_program ~config ~arch ~latency prog
+      Safara_transform.Safara.optimize_program ~config ~measure ~arch ~latency prog
     else (prog, [])
   in
-  let kernels =
-    List.map
-      (fun r ->
-        Safara_ptxas.Assemble.assemble ~arch
-          (Safara_vir.Codegen.compile_region ~arch prog r))
-      prog.P.regions
-  in
-  (prog, kernels, logs)
+  (prog, List.map (backend prog) prog.P.regions, logs)
 
 let checksum v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
@@ -220,6 +220,59 @@ let test_pipeline_matches_reference () =
                  c.Safara_core.Compiler.c_logs )))
         Safara_core.Compiler.all_profiles)
     Registry.all
+
+(* The count SAFARA budgets against is the count that ships. For every
+   registry kernel under both feedback profiles, on every arch, with
+   the default pass set and with the paper's (indvar/memmerge off):
+   the pipeline's measure of the post-SAFARA region equals the emitted
+   regs_used, and the first round's feedback equals what the same
+   compile ships with SAFARA off (Base for safara, Clauses_only for
+   full) — the latter observes the measure the safara pass was
+   actually given. *)
+let test_feedback_is_shipped_count () =
+  let module C = Safara_core.Compiler in
+  let regs_used (_, r) = r.Safara_ptxas.Assemble.regs_used in
+  List.iter
+    (fun disable ->
+      let options =
+        { Safara_core.Pipeline.default_options with Safara_core.Pipeline.o_disable = disable }
+      in
+      List.iter
+        (fun arch ->
+          List.iter
+            (fun (w : Workload.t) ->
+              let prog = Safara_lang.Frontend.compile w.Workload.source in
+              List.iter
+                (fun (p, without_safara) ->
+                  let c = C.compile ~arch ~options p prog in
+                  let c0 = C.compile ~arch ~options without_safara prog in
+                  let ctx =
+                    Safara_core.Pass.make_ctx ~arch:c.C.c_arch ~latency:c.C.c_latency
+                  in
+                  ctx.Safara_core.Pass.disabled <- disable;
+                  let name (k, _) =
+                    Printf.sprintf "%s/%s under %s on %s, disabled [%s]" w.Workload.id
+                      k.Safara_vir.Kernel.kname (C.profile_name p)
+                      arch.Safara_gpu.Arch.name (String.concat "," disable)
+                  in
+                  List.iter2
+                    (fun r (k, k0) ->
+                      Alcotest.(check int)
+                        ("measure = shipped: " ^ name k)
+                        (regs_used k)
+                        (Safara_core.Pipeline.regs_used ctx c.C.c_prog r);
+                      match List.assoc r.Safara_ir.Region.rname c.C.c_logs with
+                      | [] -> ()
+                      | first :: _ ->
+                          Alcotest.(check int)
+                            ("first-round feedback: " ^ name k)
+                            (regs_used k0) first.Safara_transform.Safara.regs_before)
+                    c.C.c_prog.Safara_ir.Program.regions
+                    (List.combine c.C.c_kernels c0.C.c_kernels))
+                [ (C.Safara_only, C.Base); (C.Full, C.Clauses_only) ])
+            Registry.all)
+        Safara_gpu.Arch.registry)
+    [ []; [ "indvar"; "memmerge" ] ]
 
 let test_no_spills_anywhere () =
   (* the paper reports SAFARA induced no spilling; our feedback-driven
@@ -250,4 +303,6 @@ let suite =
       Alcotest.test_case "no spills under Full" `Quick test_no_spills_anywhere;
       Alcotest.test_case "pipeline is byte-identical to the reference driver"
         `Slow test_pipeline_matches_reference;
+      Alcotest.test_case "SAFARA feedback is the shipped register count" `Slow
+        test_feedback_is_shipped_count;
     ]
