@@ -738,17 +738,13 @@ let tune_cmd =
               - s0.Safara_suites.Eval.st_sim_misses
             in
             if json then
-              Printf.printf
-                "{\"id\":%S,\"arch\":%S,\"strategy\":%S,\"best\":{\"config\":%S,\"unroll\":%d},\"best_ms\":%.12g,\"default_ms\":%.12g,\"improvement\":%.12g,\"evaluated\":%d,\"space\":%d,\"sim_hits\":%d,\"sim_misses\":%d}\n"
-                r.Safara_tune.Tune.tr_id r.Safara_tune.Tune.tr_arch
-                r.Safara_tune.Tune.tr_strategy
-                r.Safara_tune.Tune.tr_best.Safara_tune.Tune.pt_config
-                r.Safara_tune.Tune.tr_best.Safara_tune.Tune.pt_unroll
-                r.Safara_tune.Tune.tr_best_ms
-                r.Safara_tune.Tune.tr_default_ms
-                r.Safara_tune.Tune.tr_improvement
-                r.Safara_tune.Tune.tr_evaluated r.Safara_tune.Tune.tr_space
-                hits misses
+              print_endline
+                (Safara_serve.Sjson.to_string
+                   (Safara_serve.Commands.tune_json
+                      ~extra:
+                        [ ("sim_hits", Safara_serve.Sjson.int hits);
+                          ("sim_misses", Safara_serve.Sjson.int misses) ]
+                      r))
             else begin
               print_string (Safara_tune.Tune.render r);
               Printf.printf "search sim-cache: %d hits / %d misses\n" hits

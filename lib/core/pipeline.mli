@@ -125,8 +125,5 @@ val run :
   'b * trace
 
 val pp_trace : Format.formatter -> trace -> unit
-(** The [--time-passes] table. *)
-
-val trace_to_json : trace -> string
-(** The [--time-passes --json] object: pipeline name plus one record
-    per pass (name, stage, seconds, disabled, before/after stats). *)
+(** The [--time-passes] table. The [--time-passes --json] object is
+    [Safara_serve.Commands.trace_json]. *)

@@ -3,8 +3,10 @@
     Every layer — lexer, parser, type checker, IR validation, clause
     checking, the dependence-based race detector, the VIR verifier and
     the lint passes — reports through this type, so the driver can
-    sort, filter, render (human caret form or machine JSON) and decide
-    the exit status in one place.
+    sort, filter, render (human caret form) and decide the exit status
+    in one place. The machine-readable form ([check --json]) is
+    [Safara_serve.Commands.diagnostics_json], built on the repo's one
+    JSON implementation.
 
     Codes are stable (documented in docs/DIAGNOSTICS.md):
 
@@ -92,8 +94,3 @@ val render : ?src:string -> t -> string
 val render_all : ?src:string -> t list -> string
 (** All diagnostics, sorted, caret-rendered, followed by a summary
     line ("2 errors, 1 warning"). Empty string for []. *)
-
-val to_json : t -> string
-val list_to_json : t list -> string
-(** A JSON array of objects with fields [code], [severity], [file],
-    [line], [col], [where], [message], [hint] — for CI consumption. *)

@@ -28,6 +28,66 @@ let with_engine_opt name f =
    subcommand's. *)
 
 (* ------------------------------------------------------------------ *)
+(* JSON renderings                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let diagnostics_json ds =
+  let module D = Safara_diag.Diagnostic in
+  let open Sjson in
+  let diag (d : D.t) =
+    Obj
+      ([ ("code", str d.D.code);
+         ("severity", str (D.severity_to_string d.D.severity)) ]
+      @ (match d.D.span with
+        | Some sp ->
+            [ ("file", str sp.D.file); ("line", int sp.D.line);
+              ("col", int sp.D.col) ]
+        | None -> [])
+      @ [ ("where", str d.D.where); ("message", str d.D.message) ]
+      @ match d.D.hint with Some h -> [ ("hint", str h) ] | None -> [])
+  in
+  Arr (List.map diag (D.sort ds))
+
+let trace_json (t : Safara_core.Pipeline.trace) =
+  let module P = Safara_core.Pipeline in
+  let module Pass = Safara_core.Pass in
+  let open Sjson in
+  let stats (s : Pass.stats) =
+    Obj
+      [ ("units", int s.Pass.s_units); ("stmts", int s.Pass.s_stmts);
+        ("instrs", int s.Pass.s_instrs); ("vregs", int s.Pass.s_vregs);
+        ("regs", int s.Pass.s_regs) ]
+  in
+  Obj
+    [ ("pipeline", str t.P.tr_pipeline);
+      ("passes",
+       Arr
+         (List.map
+            (fun (r : P.report) ->
+              Obj
+                [ ("name", str r.P.pr_pass); ("stage", str r.P.pr_stage);
+                  ("seconds", num r.P.pr_s);
+                  ("disabled", Bool r.P.pr_disabled);
+                  ("before", stats r.P.pr_before);
+                  ("after", stats r.P.pr_after) ])
+            t.P.tr_reports)) ]
+
+let tune_json ?(extra = []) (r : Safara_tune.Tune.result) =
+  let module T = Safara_tune.Tune in
+  let open Sjson in
+  Obj
+    ([ ("id", str r.T.tr_id); ("arch", str r.T.tr_arch);
+       ("strategy", str r.T.tr_strategy);
+       ("best",
+        Obj
+          [ ("config", str r.T.tr_best.T.pt_config);
+            ("unroll", int r.T.tr_best.T.pt_unroll) ]);
+       ("best_ms", num r.T.tr_best_ms); ("default_ms", num r.T.tr_default_ms);
+       ("improvement", num r.T.tr_improvement);
+       ("evaluated", int r.T.tr_evaluated); ("space", int r.T.tr_space) ]
+    @ extra)
+
+(* ------------------------------------------------------------------ *)
 (* compile                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -67,7 +127,7 @@ let compile eng (r : Protocol.compile_req) : Protocol.outcome =
   in
   (match trace with
   | Some trace when r.cr_time_passes && r.cr_json ->
-      Buffer.add_string b (Safara_core.Pipeline.trace_to_json trace);
+      Buffer.add_string b (Sjson.to_string (trace_json trace));
       Buffer.add_char b '\n'
   | _ ->
       (match trace with
@@ -133,7 +193,7 @@ let check (r : Protocol.check_req) : Protocol.outcome =
           Buffer.add_string b (Safara_diag.Diagnostic.render_all ~src diags))
     inputs;
   if r.ck_json then begin
-    Buffer.add_string b (Safara_diag.Diagnostic.list_to_json !all);
+    Buffer.add_string b (Sjson.to_string (diagnostics_json !all));
     Buffer.add_char b '\n'
   end;
   {

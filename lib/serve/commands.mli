@@ -25,6 +25,25 @@ val arch_of : string -> Safara_gpu.Arch.t
 val profile_of : string -> Safara_core.Compiler.profile
 (** @raise Failure on unknown names (listing the valid ones). *)
 
+(** {1 JSON renderings} — the machine-readable output of [--json]
+    modes and the bench harness, built as {!Sjson.t} values. *)
+
+val diagnostics_json : Safara_diag.Diagnostic.t list -> Sjson.t
+(** [check --json]: an array, in {!Safara_diag.Diagnostic.sort} order,
+    of objects with fields [code], [severity], [file], [line], [col]
+    (the last three only when the diagnostic has a span), [where],
+    [message] and [hint] (only when present). *)
+
+val trace_json : Safara_core.Pipeline.trace -> Sjson.t
+(** [compile --time-passes --json]: the pipeline name plus one record
+    per pass (name, stage, seconds, disabled, before/after stats). *)
+
+val tune_json :
+  ?extra:(string * Sjson.t) list -> Safara_tune.Tune.result -> Sjson.t
+(** One tuning result: id, arch, strategy, best point, best and
+    default ms, improvement, evaluated points and space size, then
+    the caller's [extra] fields. *)
+
 val compile :
   Safara_suites.Eval.t -> Protocol.compile_req -> Protocol.outcome
 

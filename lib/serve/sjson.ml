@@ -29,7 +29,14 @@ let escape b s =
 let add_num b f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" f)
-  else if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
+  else if Float.is_finite f then
+    (* the shortest of %.15g/%.16g/%.17g that reads back as the same
+       float: %.17g alone prints 0.1 as 0.10000000000000001 *)
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p = 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    Buffer.add_string b (shortest 15)
   else Buffer.add_string b "null" (* JSON has no inf/nan *)
 
 let to_string v =
@@ -69,6 +76,10 @@ let to_string v =
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Deeper input is rejected rather than risking the stack: nothing
+   this repo prints nests more than a handful of levels. *)
+let max_depth = 512
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -94,6 +105,25 @@ let parse s =
     end
     else fail ("bad literal, expected " ^ word)
   in
+  let is_digit c = c >= '0' && c <= '9' in
+  (* the 4 hex digits of a \u escape, with [pos] on the 'u'; leaves
+     [pos] on the last digit *)
+  let hex4 () =
+    if !pos + 4 >= n then fail "truncated \\u escape";
+    let code = ref 0 in
+    for i = 1 to 4 do
+      let d =
+        match s.[!pos + i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      code := (!code lsl 4) lor d
+    done;
+    pos := !pos + 4;
+    !code
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -114,31 +144,24 @@ let parse s =
           | 'r' -> Buffer.add_char b '\r'
           | 't' -> Buffer.add_char b '\t'
           | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
-              let code =
-                match int_of_string_opt ("0x" ^ hex) with
-                | Some c -> c
-                | None -> fail "bad \\u escape"
-              in
-              (* encode the code point as UTF-8; the protocol only
-                 round-trips what our own printer emits (< 0x20), but
-                 be a correct decoder for the BMP anyway *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+              let code = hex4 () in
+              if code >= 0xDC00 && code <= 0xDFFF then fail "lone low surrogate"
+              else if code >= 0xD800 && code <= 0xDBFF then begin
+                (* a high surrogate must pair with a following low one
+                   into one supplementary code point *)
+                if !pos + 2 >= n || s.[!pos + 1] <> '\\' || s.[!pos + 2] <> 'u'
+                then fail "lone high surrogate";
+                pos := !pos + 2;
+                let lo = hex4 () in
+                if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate";
+                Buffer.add_utf_8_uchar b
+                  (Uchar.of_int (0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)))
               end
-              else begin
-                Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char b
-                  (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              pos := !pos + 4
+              else Buffer.add_utf_8_uchar b (Uchar.of_int code)
           | c -> fail (Printf.sprintf "bad escape \\%c" c));
           advance ();
           go ()
+      | c when Char.code c < 0x20 -> fail "unescaped control character"
       | c ->
           Buffer.add_char b c;
           advance ();
@@ -147,20 +170,35 @@ let parse s =
     go ();
     Buffer.contents b
   in
+  (* RFC 8259: -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
   let parse_number () =
     let start = !pos in
-    let number_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+    let digits () =
+      let d0 = !pos in
+      while !pos < n && is_digit s.[!pos] do
+        advance ()
+      done;
+      if !pos = d0 then fail "bad number"
     in
-    while !pos < n && number_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
+    if peek () = Some '-' then advance ();
+    (match peek () with
+    | Some '0' -> advance ()
+    | Some c when is_digit c -> digits ()
+    | _ -> fail "bad number");
+    if peek () = Some '.' then begin
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
+    Num (float_of_string (String.sub s start (!pos - start)))
   in
-  let rec parse_value () =
+  let rec parse_value depth =
+    if depth > max_depth then fail "nesting too deep";
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -176,11 +214,11 @@ let parse s =
           Arr []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let items = ref [ parse_value (depth + 1) ] in
           skip_ws ();
           while peek () = Some ',' do
             advance ();
-            items := parse_value () :: !items;
+            items := parse_value (depth + 1) :: !items;
             skip_ws ()
           done;
           expect ']';
@@ -199,7 +237,7 @@ let parse s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let items = ref [ field () ] in
@@ -214,7 +252,7 @@ let parse s =
         end
     | Some _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
   v

@@ -1,11 +1,12 @@
-(** A minimal JSON value type with a strict parser and printer.
+(** The repo's one JSON implementation: a value type, a strict
+    parser and a compact printer.
 
-    The compile-service protocol needs structured requests/responses
-    and the repo deliberately has no JSON dependency (the bench and
-    diagnostic emitters hand-roll output); this is the shared
-    reader/writer for {!Protocol}. Numbers are [float]s — every
-    quantity the protocol carries (lengths, counters, milliseconds)
-    fits exactly. *)
+    Every machine-readable output is built as a {!t} and printed with
+    {!to_string}: the compile-service protocol ({!Protocol}), the
+    [--json] modes of [saraccc] ({!Commands}), the [BENCH_*.json]
+    files and [bench json]. The repo deliberately has no JSON
+    dependency. Numbers are [float]s — every quantity these outputs
+    carry (lengths, counters, milliseconds, ratios) fits. *)
 
 type t =
   | Null
@@ -18,11 +19,19 @@ type t =
 exception Parse_error of string
 
 val parse : string -> t
-(** @raise Parse_error on malformed input or trailing garbage. *)
+(** RFC 8259: numbers follow the JSON grammar (no [+1], [01] or [1.]),
+    strings admit no raw control characters, [\u] escapes take exactly
+    four hex digits and are decoded to UTF-8 with surrogate pairs
+    combined. Nesting deeper than 512 levels is rejected.
+    @raise Parse_error on malformed input (a lone surrogate included)
+    or trailing garbage. *)
 
 val to_string : t -> string
-(** Compact (no whitespace), fully escaped; [parse] ∘ [to_string] is
-    the identity up to float formatting. *)
+(** Compact (no whitespace), fully escaped. Integral numbers below
+    1e15 in magnitude print without a fraction, other finite numbers
+    as the shortest of [%.15g]/[%.16g]/[%.17g] that reads back
+    exactly, and non-finite ones as [null]; so [parse] ∘ [to_string]
+    is the identity on values whose numbers are finite. *)
 
 (** {1 Builders} *)
 

@@ -547,11 +547,20 @@ let test_json_shape () =
       ~hint:"try \"this\"" ~code:"SAF010" ~where:"region k" Diag.Error
       "a \"quoted\" message"
   in
-  let j = Diag.list_to_json [ d ] in
-  Alcotest.(check bool) "code field" true (Str_helpers.contains j {|"SAF010"|});
+  let module J = Safara_serve.Sjson in
+  let j =
+    J.parse (J.to_string (Safara_serve.Commands.diagnostics_json [ d ]))
+  in
   Alcotest.(check bool)
-    "escaped quotes" true
-    (Str_helpers.contains j {|\"quoted\"|})
+    "exact fields" true
+    (j
+    = J.Arr
+        [ J.Obj
+            [ ("code", J.Str "SAF010"); ("severity", J.Str "error");
+              ("file", J.Str "t.macc"); ("line", J.Num 3.); ("col", J.Num 7.);
+              ("where", J.Str "region k");
+              ("message", J.Str "a \"quoted\" message");
+              ("hint", J.Str "try \"this\"") ] ])
 
 let test_check_deterministic () =
   let src = Safara_suites.Spec_sp.workload.Safara_suites.Workload.source in

@@ -23,5 +23,6 @@ let () =
       ("shapes", Suite_shapes.suite);
       ("check", Suite_check.suite);
       ("serve", Suite_serve.suite);
+      ("json", Suite_json.suite);
       ("arch", Suite_arch.suite);
     ]
