@@ -869,6 +869,8 @@ let micro_tests ~arch () =
     Test.make ~name:"ptxas: allocate hot1"
       (Staged.stage (fun () ->
            ignore (Safara_ptxas.Assemble.assemble ~arch kernel)));
+    Test.make ~name:"vir: verify hot1"
+      (Staged.stage (fun () -> ignore (Safara_vir.Verify.verify kernel)));
     Test.make ~name:"SAFARA: optimize hot1 (full feedback loop)"
       (Staged.stage (fun () ->
            ignore

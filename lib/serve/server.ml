@@ -183,9 +183,12 @@ let serve ?(on_ready = fun _ -> ()) config =
   let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let threads = ref [] in
   on_ready config.s_socket;
+  (* the wait is bounded: a signal that lands just before [select]
+     blocks is recorded but its handler, which writes the wake pipe,
+     only runs once OCaml code runs again *)
   let rec accept_loop () =
     if not (Atomic.get st.stop) then begin
-      (match Unix.select [ lfd; wake_r ] [] [] (-1.0) with
+      (match Unix.select [ lfd; wake_r ] [] [] 0.5 with
       | exception Unix.Unix_error (EINTR, _, _) -> ()
       | ready, _, _ ->
           if List.mem lfd ready && not (Atomic.get st.stop) then begin

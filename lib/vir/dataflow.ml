@@ -153,13 +153,11 @@ module Live = struct
 
   let units set = V.Set.fold (fun r acc -> acc + V.width r) set 0
 
-  (* peak simultaneous register demand in 32-bit units: at each
-     instruction the values live after it coexist with the values it
-     defines (a dead def still occupies its register at that point) *)
-  let max_units code =
-    let cfg = Cfg.build code in
-    let info = analyze cfg in
-    let out = per_instr_out cfg info in
+  (* peak simultaneous register demand in 32-bit units, given the
+     live set after each instruction: at each instruction the values
+     live after it coexist with the values it defines (a dead def
+     still occupies its register at that point) *)
+  let peak code out =
     let peak = ref 0 in
     Array.iteri
       (fun i ins ->
@@ -170,13 +168,16 @@ module Live = struct
       code;
     !peak
 
+  let max_units code =
+    let cfg = Cfg.build code in
+    peak code (per_instr_out cfg (analyze cfg))
+
   (* --dump-ir --annotate-live: the listing with the precise live-set
      size (count of live vregs, and their width in 32-bit units) after
      each instruction *)
   let pp_annotated ppf (k : Kernel.t) =
     let cfg = Cfg.build k.Kernel.code in
-    let info = analyze cfg in
-    let out = per_instr_out cfg info in
+    let out = per_instr_out cfg (analyze cfg) in
     Format.fprintf ppf
       "@[<v>// %s: live vregs / 32-bit units after each instruction@,"
       k.Kernel.kname;
@@ -185,90 +186,163 @@ module Live = struct
         Format.fprintf ppf "%4d %4d | %s@," (V.Set.cardinal out.(i))
           (units out.(i)) (I.to_string ins))
       k.Kernel.code;
-    Format.fprintf ppf "// peak demand: %d units@]" (max_units k.Kernel.code)
+    Format.fprintf ppf "// peak demand: %d units@]" (peak k.Kernel.code out)
 end
 
 (* ------------------------------------------------------------------ *)
-(* Reaching definitions (forward, may), with an implicit              *)
-(* "uninitialized" definition of every register at kernel entry        *)
+(* Reaching definitions (forward, may) over bit vectors, with an      *)
+(* implicit "uninitialized" definition of every register at entry      *)
 (* ------------------------------------------------------------------ *)
 
 module IM = Map.Make (Int)
 module IS = Set.Make (Int)
 
+(* Dense bitsets over [0, n): [Sys.int_size] bits per word. The
+   solver only ever sees fresh values; [add] and [remove] mutate and
+   are used while building a value, before it is handed over. *)
+module Bits = struct
+  type t = int array
+
+  let w = Sys.int_size
+  let create n = Array.make ((n + w - 1) / w) 0
+  let mem s i = s.(i / w) land (1 lsl (i mod w)) <> 0
+  let add s i = s.(i / w) <- s.(i / w) lor (1 lsl (i mod w))
+  let remove s i = s.(i / w) <- s.(i / w) land lnot (1 lsl (i mod w))
+
+  (* every value of one analysis has the same length *)
+  let equal (a : t) (b : t) =
+    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+    go (Array.length a - 1)
+
+  let join (a : t) (b : t) = Array.map2 ( lor ) a b
+end
+
 module Reach = struct
-  (* rid -> set of definition sites that may reach this point; a site
-     is an instruction index, or [uninit] for the synthetic entry
-     definition. A register absent from the map is unreached (bottom:
-     only possible in unreachable code). *)
-  let uninit = -1
-
-  type state = IS.t IM.t
-
-  module L = struct
-    type t = state
-
-    let equal = IM.equal IS.equal
-    let join = IM.union (fun _ a b -> Some (IS.union a b))
-  end
-
-  module S = Solver (L)
-
-  let def state i ins =
-    List.fold_left
-      (fun st (d : V.t) -> IM.add d.V.rid (IS.singleton i) st)
-      state (I.defs ins)
-
-  let analyze (cfg : Cfg.t) =
-    (* at entry every register carries only its uninitialized def *)
-    let universe = ref IM.empty in
-    Array.iter
-      (fun ins ->
-        List.iter
-          (fun (r : V.t) ->
-            universe := IM.add r.V.rid (IS.singleton uninit) !universe)
-          (I.defs ins @ I.uses ins))
-      cfg.Cfg.code;
-    let transfer b st =
-      let st = ref st in
-      Cfg.iter_instrs cfg b (fun i ins -> st := def !st i ins);
-      !st
-    in
-    let r =
-      S.solve ~dir:Forward ~init:IM.empty ~boundary:!universe ~transfer cfg
-    in
-    (r.S.at_start, r.S.at_end)
+  (* Sites [0, nd) are the (instruction, defined register) pairs in
+     code order; site [nd + rid] is the synthetic uninitialized
+     definition of register [rid], live at kernel entry. A block's
+     transfer is [gen ∪ (in ∩ keep)], where [gen] holds the last
+     definition of each register the block defines and [keep] clears
+     every site of those registers, the uninitialized one included. *)
+  module S = Solver (Bits)
 
   type fault = {
     f_at : int;  (* instruction index of the faulting use *)
     f_reg : V.t;
     f_partial : int list;
-        (* definition sites that reach on the other paths; [] means
-           the register is never defined at all *)
+        (* instruction indices of the definitions that reach on the
+           other paths, ascending; [] means no definition reaches *)
   }
 
-  (* every use a synthetic uninitialized definition can reach;
-     subsumes the verifier's old hand-rolled must-reach walk:
+  (* every use a synthetic uninitialized definition can reach:
      "uninit may reach" is exactly "not defined on all paths" *)
   let possibly_uninitialized (cfg : Cfg.t) =
-    let at_start, _ = analyze cfg in
+    let code = cfg.Cfg.code and blocks = cfg.Cfg.blocks in
+    let n = Array.length code and nb = Array.length blocks in
+    (* instruction i owns sites [first_site.(i), first_site.(i + 1));
+       no VIR instruction defines more than one register, so [n]
+       sites is the usual capacity *)
+    let first_site = Array.make (n + 1) 0 in
+    let site_instr = ref (Array.make n 0) and site_reg = ref (Array.make n 0) in
+    let nd = ref 0 and nr = ref 0 in
+    let top (r : V.t) = if r.V.rid >= !nr then nr := r.V.rid + 1 in
+    Array.iteri
+      (fun i ins ->
+        List.iter top (I.uses ins);
+        List.iter
+          (fun (d : V.t) ->
+            top d;
+            if !nd = Array.length !site_reg then begin
+              let grow a = Array.append a (Array.make (!nd + 1) 0) in
+              site_instr := grow !site_instr;
+              site_reg := grow !site_reg
+            end;
+            !site_instr.(!nd) <- i;
+            !site_reg.(!nd) <- d.V.rid;
+            incr nd)
+          (I.defs ins);
+        first_site.(i + 1) <- !nd)
+      code;
+    let nr = !nr and nd = !nd in
+    let site_instr = !site_instr and site_reg = !site_reg in
+    (* rid -> its definition sites, ascending *)
+    let reg_sites = Array.make nr [] in
+    for s = nd - 1 downto 0 do
+      reg_sites.(site_reg.(s)) <- s :: reg_sites.(site_reg.(s))
+    done;
+    let nbits = nd + nr in
+    let words = Array.length (Bits.create nbits) in
+    (* gen/keep per block; a block that defines nothing passes its
+       input through. [last_def.(rid)] is the register's latest site
+       in block [stamp.(rid)]. *)
+    let gen = Array.make nb [||] and keep = Array.make nb [||] in
+    let last_def = Array.make nr 0 and stamp = Array.make nr (-1) in
+    Array.iteri
+      (fun b (blk : Cfg.block) ->
+        let regs = ref [] in
+        let last = first_site.(blk.Cfg.last + 1) - 1 in
+        for s = first_site.(blk.Cfg.first) to last do
+          let r = site_reg.(s) in
+          if stamp.(r) <> b then begin
+            stamp.(r) <- b;
+            regs := r :: !regs
+          end;
+          last_def.(r) <- s
+        done;
+        if !regs <> [] then begin
+          let g = Array.make words 0 and k = Array.make words (-1) in
+          List.iter
+            (fun r ->
+              List.iter (Bits.remove k) reg_sites.(r);
+              Bits.remove k (nd + r);
+              Bits.add g last_def.(r))
+            !regs;
+          gen.(b) <- g;
+          keep.(b) <- k
+        end)
+      blocks;
+    let boundary = Bits.create nbits in
+    for r = 0 to nr - 1 do
+      Bits.add boundary (nd + r)
+    done;
+    let transfer b v =
+      let g = gen.(b) in
+      if Array.length g = 0 then v
+      else
+        let k = keep.(b) in
+        Array.init words (fun j -> g.(j) lor (v.(j) land k.(j)))
+    in
+    let r =
+      S.solve ~dir:Forward ~init:(Bits.create nbits) ~boundary ~transfer cfg
+    in
+    (* walk each block from its entry value: a use faults if its
+       register is not yet defined in the block and its uninitialized
+       site reaches the block *)
+    Array.fill stamp 0 nr (-1);
     let faults = ref [] in
-    for b = 0 to Cfg.num_blocks cfg - 1 do
-      let st = ref at_start.(b) in
-      Cfg.iter_instrs cfg b (fun i ins ->
+    Array.iteri
+      (fun b (blk : Cfg.block) ->
+        let st = r.S.at_start.(b) in
+        for i = blk.Cfg.first to blk.Cfg.last do
           List.iter
             (fun (u : V.t) ->
-              match IM.find_opt u.V.rid !st with
-              | Some sites when IS.mem uninit sites ->
-                  let partial =
-                    IS.elements (IS.remove uninit sites)
-                  in
-                  faults :=
-                    { f_at = i; f_reg = u; f_partial = partial } :: !faults
-              | _ -> ())
-            (I.uses ins);
-          st := def !st i ins)
-    done;
+              let rid = u.V.rid in
+              if stamp.(rid) <> b && Bits.mem st (nd + rid) then begin
+                let partial =
+                  List.filter_map
+                    (fun s ->
+                      if Bits.mem st s then Some site_instr.(s) else None)
+                    reg_sites.(rid)
+                in
+                faults :=
+                  { f_at = i; f_reg = u; f_partial = partial } :: !faults
+              end)
+            (I.uses code.(i));
+          for s = first_site.(i) to first_site.(i + 1) - 1 do
+            stamp.(site_reg.(s)) <- b
+          done
+        done)
+      blocks;
     List.rev !faults
 end
 

@@ -67,33 +67,32 @@ end
 module IM : Map.S with type key = int
 module IS : Set.S with type elt = int
 
-(** Reaching definitions: forward may-analysis. Every register also
-    carries a synthetic "uninitialized" definition from kernel entry,
-    so "uninit may reach this use" is exactly the complement of the
-    old must-reach def-before-use check. *)
+(** Reaching definitions: forward may-analysis over bit vectors.
+    Sites [0 .. nd-1] number every (instruction, defined register)
+    pair in code order; site [nd + rid] is a synthetic
+    "uninitialized" definition of register [rid] that enters at
+    kernel entry. Each block's gen (its last definition of each
+    register it defines) and kill (every site of those registers,
+    the uninitialized one included) are precomputed, so a transfer
+    costs one pass over the words of a set. Values are dense bitsets
+    joined by union in the generic {!Solver}. A use faults exactly
+    when its register's uninitialized site may reach it, i.e. when
+    the register is not defined on all paths from entry; uses in
+    blocks unreachable from entry never fault. *)
 module Reach : sig
-  val uninit : int
-  (** the synthetic entry-definition site (-1) *)
-
-  type state = IS.t IM.t
-  (** rid → definition sites (instruction indices, or [uninit]) that
-      may reach this point *)
-
-  val analyze : Cfg.t -> state array * state array
-  (** (at block start, at block end) *)
-
   type fault = {
     f_at : int;  (** instruction index of the faulting use *)
     f_reg : Vreg.t;
     f_partial : int list;
-        (** definition sites reaching on the other paths; [] means
-            the register is never defined before this use on any
-            path *)
+        (** instruction indices of the definitions of [f_reg] that
+            reach the use on other paths, ascending; [] means the
+            register is never defined before this use on any path *)
   }
 
   val possibly_uninitialized : Cfg.t -> fault list
   (** every use the synthetic uninitialized definition can reach, in
-      instruction order *)
+      instruction order (an instruction's uses in {!Instr.uses}
+      order) *)
 end
 
 (** Available copies: forward must-analysis backing global copy

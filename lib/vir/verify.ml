@@ -1,10 +1,13 @@
 (* VIR verifier: structural and dataflow well-formedness of kernels.
 
-   Runs after codegen and again after every VIR-level transform
-   (unroll, scalar replacement, peephole) and after assembly — the
-   assembled code is still in virtual-register form, so the same
-   checks apply. Faults are SAF020 diagnostics; any fault is a
-   compiler bug, not a user error. *)
+   Where it runs: in assertion (dev) builds, after every VIR- and
+   assembly-stage pipeline pass (codegen through assemble;
+   [Pipeline.o_verify]); at every [Eval] compile-cache miss, on the
+   freshly compiled kernels or on the ones a store disk hit read back
+   ([Eval.verify_kernels]); and in [saraccc check], which reports its
+   faults instead of raising. Assembled code is still in
+   virtual-register form, so the same checks apply. Faults are SAF020
+   diagnostics; any fault is a compiler bug, not a user error. *)
 
 module Diag = Safara_diag.Diagnostic
 module M = Safara_gpu.Memspace
@@ -54,12 +57,12 @@ let check_control_flow kern =
   then add (fault kern ~at:(n - 1) "kernel has no ret");
   List.rev !faults
 
-(* Def-before-use, via the reaching-definitions solver: a synthetic
-   "uninitialized" definition of every register is placed at entry,
-   and any use it can reach is a fault. "Uninit may reach" is exactly
-   "not defined on all paths", so this reports the same faults as the
-   old hand-rolled must-reach walk — with the definition sites that
-   do reach on the other paths named in the message. *)
+(* Def-before-use, via the bit-vector reaching-definitions analysis
+   ([Dataflow.Reach]): a synthetic "uninitialized" definition of every
+   register enters at kernel entry, and any use it can reach is a
+   fault. "Uninit may reach" is exactly "not defined on all paths";
+   the message names the definition sites that do reach on the other
+   paths. *)
 let check_def_before_use kern =
   let code = kern.Kernel.code in
   if Array.length code = 0 then []
@@ -88,12 +91,15 @@ let check_types kern =
   let code = kern.Kernel.code in
   let faults = ref [] in
   let add f = faults := f :: !faults in
-  let pnames = Kernel.param_names kern in
+  (* a kernel loads every parameter it takes, so a list lookup would
+     be quadratic in the parameter count *)
+  let pnames = Hashtbl.create 16 in
+  List.iter (fun p -> Hashtbl.replace pnames p ()) (Kernel.param_names kern);
   Array.iteri
     (fun i ins ->
       match ins with
       | Instr.Ldp { param; _ } ->
-          if not (List.mem param pnames) then
+          if not (Hashtbl.mem pnames param) then
             add (fault kern ~at:i "ld.param of %s, not a kernel parameter" param)
       | Instr.Setp { dst; a; b; _ } ->
           if Vreg.cls dst <> Vreg.Pred then

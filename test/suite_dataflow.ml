@@ -1,11 +1,13 @@
 (* Dataflow-framework tests: CFG construction, each lattice's solver
-   fixpoint (including loops and back-edges), the three catalog passes
-   built on them (copy-prop, strength-red, dce), a wide-kernel
-   performance regression guarding the linear kill indices, the
-   static-pressure cross-validation against the linear-scan allocator,
-   and the differential sweep proving the passes preserve simulated
-   results bit for bit across workloads, profiles, engines and pool
-   sizes. *)
+   fixpoint (including loops and back-edges), the corners of the
+   bit-vector reaching-definitions encoding and a QCheck differential
+   of its faults against a path search over mutated registry kernels,
+   the three catalog passes built on them (copy-prop, strength-red,
+   dce), a wide-kernel performance regression guarding the linear
+   kill indices, the static-pressure cross-validation against the
+   linear-scan allocator, and the differential sweep proving the
+   passes preserve simulated results bit for bit across workloads,
+   profiles, engines and pool sizes. *)
 
 open Safara_suites
 module I = Safara_vir.Instr
@@ -237,6 +239,207 @@ let test_verify_partial_path_message () =
          Str_helpers.contains m "used before definition"
          && not (Str_helpers.contains m "on some paths"))
        msgs)
+
+(* --- corners of the bit-vector encoding ---------------------------- *)
+
+let fault = Alcotest.(pair int (pair int ints))
+
+let faults_of code =
+  List.map
+    (fun (f : D.Reach.fault) ->
+      (f.D.Reach.f_at, (f.D.Reach.f_reg.V.rid, f.D.Reach.f_partial)))
+    (D.Reach.possibly_uninitialized (Cfg.build code))
+
+let test_reach_entry_is_loop_header () =
+  (* block 0 starts with the loop label, so the entry block has a
+     predecessor: the uninitialized definition and the loop's own
+     definition both reach the header's use *)
+  let code =
+    [|
+      I.Label "top";
+      add (i32 1) (I.Reg (i32 1)) (I.Imm 1);
+      setp (prd 2) (I.Reg (i32 1)) (I.Imm 10);
+      brc (prd 2) "top";
+      I.Ret;
+    |]
+  in
+  Alcotest.(check (list fault))
+    "only the loop-carried use faults" [ (1, (1, [ 1 ])) ] (faults_of code)
+
+let test_reach_unreachable_use () =
+  (* the skipped block reads r9, which is never defined: unreachable
+     code never faults. Its definition of r5 still reaches the join
+     along its fall-through edge. *)
+  let code =
+    [|
+      movi (i32 0) 1;
+      I.Bra "end";
+      add (i32 5) (I.Reg (i32 9)) (I.Imm 1);
+      I.Label "end";
+      movr (i32 3) (i32 0);
+      movr (i32 4) (i32 5);
+      I.Ret;
+    |]
+  in
+  Alcotest.(check (list fault))
+    "only the reachable use of r5" [ (5, (5, [ 2 ])) ] (faults_of code)
+
+let test_reach_use_and_def_in_one_instr () =
+  (* no VIR instruction defines two registers, so the multi-site
+     corner is an instruction that reads a register twice and defines
+     one it reads: both reads fault, in operand order, and the
+     definition then covers the later use *)
+  let code =
+    [|
+      add (i32 1) (I.Reg (i32 1)) (I.Reg (i32 1));
+      add (i32 2) (I.Reg (i32 1)) (I.Reg (i32 7));
+      I.Ret;
+    |]
+  in
+  Alcotest.(check (list fault))
+    "two faults at instr 0, then r7"
+    [ (0, (1, [])); (0, (1, [])); (1, (7, [])) ]
+    (faults_of code)
+
+let test_reach_several_sites_per_arm () =
+  (* each arm defines r2 more than once, and a third path skips both;
+     only the last definition on each arm reaches the join. The
+     then-arm's first definition is killed in the next block, not in
+     its own. *)
+  let code =
+    [|
+      movi (i32 0) 5;
+      setp (prd 1) (I.Reg (i32 0)) (I.Imm 3);
+      brc (prd 1) "join";
+      setp (prd 3) (I.Reg (i32 0)) (I.Imm 1);
+      brc (prd 3) "then";
+      movi (i32 2) 1;
+      movi (i32 2) 2;
+      I.Bra "join";
+      I.Label "then";
+      movi (i32 2) 3;
+      I.Label "more";
+      movi (i32 2) 4;
+      movi (i32 2) 5;
+      I.Label "join";
+      movr (i32 4) (i32 2);
+      I.Ret;
+    |]
+  in
+  Alcotest.(check (list fault))
+    "partial sites are the last def on each arm" [ (14, (2, [ 6; 12 ])) ]
+    (faults_of code);
+  (* drop the skip and every path defines r2 *)
+  let covered =
+    Array.of_list
+      (List.filteri (fun i _ -> i <> 1 && i <> 2) (Array.to_list code))
+  in
+  Alcotest.(check (list fault)) "no fault once every path defines" []
+    (faults_of covered)
+
+(* --- differential: reaching definitions against a path search ----- *)
+
+(* The oracle knows nothing of blocks or bit vectors. For a use of r
+   at instruction i it walks backward over instruction-level control
+   flow from i's predecessors, stopping at every definition of r. The
+   use faults if the walk reaches the point before instruction 0; the
+   definitions it stopped at are the partial sites. *)
+let oracle_faults (code : I.t array) =
+  let n = Array.length code in
+  let preds = Array.make n [] in
+  let target = Hashtbl.create 16 in
+  Array.iteri
+    (fun i ins ->
+      match ins with
+      | I.Label l when not (Hashtbl.mem target l) -> Hashtbl.add target l i
+      | _ -> ())
+    code;
+  Array.iteri
+    (fun i ins ->
+      (match ins with
+      | (I.Bra _ | I.Ret) -> ()
+      | _ -> if i + 1 < n then preds.(i + 1) <- i :: preds.(i + 1));
+      List.iter
+        (fun l ->
+          match Hashtbl.find_opt target l with
+          | Some j -> preds.(j) <- i :: preds.(j)
+          | None -> ())
+        (I.branch_targets ins))
+    code;
+  let defines j rid =
+    List.exists (fun (d : V.t) -> d.V.rid = rid) (I.defs code.(j))
+  in
+  let search i rid =
+    let seen = Array.make n false in
+    let entry = ref (i = 0) and sites = ref [] in
+    let rec visit j =
+      if not seen.(j) then begin
+        seen.(j) <- true;
+        if defines j rid then sites := j :: !sites
+        else begin
+          if j = 0 then entry := true;
+          List.iter visit preds.(j)
+        end
+      end
+    in
+    List.iter visit preds.(i);
+    (!entry, List.sort_uniq compare !sites)
+  in
+  List.concat
+    (List.init n (fun i ->
+         List.filter_map
+           (fun (u : V.t) ->
+             let entry, sites = search i u.V.rid in
+             if entry then Some (i, (u.V.rid, sites)) else None)
+           (I.uses code.(i))))
+
+let registry_kernels =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun (w : Workload.t) ->
+            List.concat_map
+              (fun p ->
+                List.map
+                  (fun ((k : K.t), _) -> (w.Workload.id, p, k.K.code))
+                  (C.compile_src p w.Workload.source).C.c_kernels)
+              C.all_profiles)
+          Registry.all))
+
+(* one instruction deleted, duplicated, or swapped with the next *)
+let mutate code kind pos =
+  let l = Array.to_list code in
+  let n = Array.length code in
+  let pos = pos mod n in
+  Array.of_list
+    (match kind with
+    | 0 -> List.filteri (fun i _ -> i <> pos) l
+    | 1 ->
+        List.concat
+          (List.mapi (fun i x -> if i = pos then [ x; x ] else [ x ]) l)
+    | _ ->
+        let j = (pos + 1) mod n in
+        List.mapi
+          (fun i x ->
+            if i = pos then code.(j) else if i = j then code.(pos) else x)
+          l)
+
+let prop_reach_matches_path_search =
+  QCheck2.Test.make ~count:300
+    ~name:"reach: faults of mutated registry kernels match a path search"
+    ~print:(fun (k, kind, pos) ->
+      Printf.sprintf "kernel %d, %s at %d" k
+        [| "delete"; "duplicate"; "swap" |].(kind) pos)
+    QCheck2.Gen.(triple (int_bound 100_000) (int_bound 2) (int_bound 100_000))
+    (fun (k, kind, pos) ->
+      let kernels = Lazy.force registry_kernels in
+      let id, p, code = kernels.(k mod Array.length kernels) in
+      let code = mutate code kind pos in
+      let got = faults_of code and want = oracle_faults code in
+      if got <> want then
+        QCheck2.Test.fail_reportf "%s under %s: %d faults, oracle %d" id
+          (C.profile_name p) (List.length got) (List.length want)
+      else true)
 
 (* --- available copies --------------------------------------------- *)
 
@@ -602,6 +805,16 @@ let suite =
     Alcotest.test_case "reach: loop is clean" `Quick test_reach_loop_clean;
     Alcotest.test_case "verify: partial-path wording" `Quick
       test_verify_partial_path_message;
+    Alcotest.test_case "reach: entry block is a loop header" `Quick
+      test_reach_entry_is_loop_header;
+    Alcotest.test_case "reach: unreachable use" `Quick
+      test_reach_unreachable_use;
+    Alcotest.test_case "reach: use and def in one instruction" `Quick
+      test_reach_use_and_def_in_one_instr;
+    Alcotest.test_case "reach: several sites on both arms" `Quick
+      test_reach_several_sites_per_arm;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      prop_reach_matches_path_search;
     Alcotest.test_case "copies: join agreement" `Quick test_copies_join_agree;
     Alcotest.test_case "copies: join disagreement" `Quick
       test_copies_join_disagree;
